@@ -5,18 +5,24 @@
 //! but it rescans the **whole dataset on every query** — the weakness the
 //! inverted-index approach targets.
 //!
-//! Two counter layouts are provided: a hash map (always applicable) and a
-//! dense n-dimensional array (the paper's `C[v1, …, vn]`), used when every
-//! pattern dimension has a known finite domain and the cell space is small
-//! enough — the paper notes performance "may degrade when the number of
-//! counters far exceeds the amount of available memory", which the ablation
-//! benchmark reproduces.
+//! One kernel, two sinks. `scan_sequences` is the only scan: it hands
+//! each sequence's cell assignments, borrowed from the matcher's reused
+//! buffers, to a `CellSink`. The serial scan, every parallel worker and
+//! the inverted-index executor's fold all run it. The sinks are a hash of
+//! `AggState` (always applicable; a cell key is copied only when the cell
+//! is new) and a dense n-dimensional counter array (the paper's
+//! `C[v1, …, vn]`), used for COUNT when every pattern dimension has a
+//! known finite domain and the cell space is small enough — the paper
+//! notes performance "may degrade when the number of counters far exceeds
+//! the amount of available memory", which the ablation benchmark
+//! reproduces.
 
 use std::collections::HashMap;
 
 use solap_eventdb::metrics::{self, Counter, Stage};
 use solap_eventdb::{
-    fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, SequenceGroups,
+    fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, Sequence,
+    SequenceGroups,
 };
 use solap_pattern::{AggFunc, AggState, Matcher};
 
@@ -87,14 +93,198 @@ pub fn counter_based_governed(
     meter: &mut ScanMeter,
     gov: &QueryGovernor,
 ) -> Result<SCuboid> {
-    let dense_size = dense_cell_space(db, spec);
-    let use_dense = match mode {
-        CounterMode::Hash => false,
-        CounterMode::Dense | CounterMode::Auto => {
-            matches!(spec.agg, AggFunc::Count)
-                && dense_size.is_some_and(|s| s <= DENSE_CELL_LIMIT || mode == CounterMode::Dense)
+    let dense = match mode {
+        CounterMode::Hash => None,
+        CounterMode::Dense | CounterMode::Auto if matches!(spec.agg, AggFunc::Count) => {
+            dense_strides(db, spec)
+                .filter(|&(_, total)| total <= DENSE_CELL_LIMIT || mode == CounterMode::Dense)
         }
+        CounterMode::Dense | CounterMode::Auto => None,
     };
+    match dense {
+        Some((strides, total)) => scan_groups(
+            db,
+            groups,
+            spec,
+            &mut DenseSink {
+                strides,
+                total,
+                counters: Vec::new(),
+                gov,
+            },
+            meter,
+            gov,
+        ),
+        None => scan_groups(
+            db,
+            groups,
+            spec,
+            &mut HashSink::new(db, spec, gov),
+            meter,
+            gov,
+        ),
+    }
+}
+
+/// Where the scan kernel folds cell assignments.
+pub(crate) trait CellSink {
+    /// Prepares for the next sequence group.
+    fn begin_group(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    /// Folds one selected assignment of `seq` (content as
+    /// [`Matcher::for_each_assignment`] hands it out).
+    fn add(&mut self, cell: &[LevelValue], seq: &Sequence, matched: Option<&[u32]>) -> Result<()>;
+
+    /// Moves the group's finished cells into `cuboid` under `global`,
+    /// leaving the sink empty for the next group.
+    fn drain_into(&mut self, global: &[LevelValue], cuboid: &mut SCuboid);
+}
+
+/// Hash-keyed aggregate states, for every aggregate function. A cell key is
+/// copied only when the cell is new, and each new cell is charged to the
+/// governor's cell budget.
+pub(crate) struct HashSink<'a> {
+    db: &'a EventDb,
+    agg: AggFunc,
+    gov: &'a QueryGovernor,
+    pub(crate) states: HashMap<Vec<LevelValue>, AggState>,
+}
+
+impl<'a> HashSink<'a> {
+    pub(crate) fn new(db: &'a EventDb, spec: &SCuboidSpec, gov: &'a QueryGovernor) -> Self {
+        HashSink {
+            db,
+            agg: spec.agg,
+            gov,
+            states: HashMap::new(),
+        }
+    }
+}
+
+impl CellSink for HashSink<'_> {
+    fn add(&mut self, cell: &[LevelValue], seq: &Sequence, matched: Option<&[u32]>) -> Result<()> {
+        if let Some(state) = self.states.get_mut(cell) {
+            return state.update_with(self.db, self.agg, seq, matched);
+        }
+        self.gov.charge_cells(1)?;
+        let mut state = AggState::new(self.agg);
+        state.update_with(self.db, self.agg, seq, matched)?;
+        self.states.insert(cell.to_vec(), state);
+        Ok(())
+    }
+
+    fn drain_into(&mut self, global: &[LevelValue], cuboid: &mut SCuboid) {
+        for (cell, state) in self.states.drain() {
+            cuboid.cells.insert(
+                CellKey {
+                    global: global.to_vec(),
+                    pattern: cell,
+                },
+                state.finish(),
+            );
+        }
+    }
+}
+
+/// Figure 7 literally: a dense `C[v1, …, vn]` of COUNT counters, reused
+/// across groups.
+struct DenseSink<'a> {
+    strides: Vec<usize>,
+    total: usize,
+    counters: Vec<u64>,
+    gov: &'a QueryGovernor,
+}
+
+impl CellSink for DenseSink<'_> {
+    fn begin_group(&mut self) -> Result<()> {
+        // The dense array materialises the whole cell space at once; charge
+        // it up front so a budget below the array size rejects the
+        // allocation.
+        self.gov.charge_cells(self.total as u64)?;
+        if self.counters.is_empty() {
+            // Zeroed allocation: pages no cell touches never become
+            // resident. Draining re-zeroes the counters for the next group.
+            self.counters = vec![0; self.total];
+        }
+        Ok(())
+    }
+
+    fn add(&mut self, cell: &[LevelValue], _: &Sequence, _: Option<&[u32]>) -> Result<()> {
+        let idx: usize = cell
+            .iter()
+            .zip(&self.strides)
+            .map(|(&v, &s)| v as usize * s)
+            .sum();
+        if let Some(c) = self.counters.get_mut(idx) {
+            *c += 1;
+        }
+        Ok(())
+    }
+
+    fn drain_into(&mut self, global: &[LevelValue], cuboid: &mut SCuboid) {
+        for (idx, count) in self.counters.iter_mut().enumerate() {
+            if *count == 0 {
+                continue;
+            }
+            let mut rest = idx;
+            let cell = self
+                .strides
+                .iter()
+                .map(|&stride| {
+                    let v = rest / stride;
+                    rest %= stride;
+                    v as LevelValue
+                })
+                .collect();
+            cuboid.cells.insert(
+                CellKey {
+                    global: global.to_vec(),
+                    pattern: cell,
+                },
+                solap_pattern::AggValue::Count(std::mem::take(count)),
+            );
+        }
+    }
+}
+
+/// The scan kernel: folds every selected cell assignment of `seqs` into
+/// `sink`, metering each sequence, and returns the number of assignments
+/// (counted before the pattern slice, so it is path-invariant).
+pub(crate) fn scan_sequences<'s>(
+    db: &EventDb,
+    spec: &SCuboidSpec,
+    matcher: &Matcher<'_>,
+    seqs: impl IntoIterator<Item = &'s Sequence>,
+    sink: &mut impl CellSink,
+    meter: &mut ScanMeter,
+) -> Result<u64> {
+    let mut assignments: u64 = 0;
+    // solint: allow(governor-tick) the matcher carries the governor and ticks per candidate window
+    for seq in seqs {
+        meter.touch(seq.sid);
+        matcher.for_each_assignment(seq, spec.restriction, |cell, matched| {
+            assignments += 1;
+            if cell_selected(db, spec, cell)? {
+                sink.add(cell, seq, matched)?;
+            }
+            Ok(())
+        })?;
+    }
+    Ok(assignments)
+}
+
+/// The serial COUNTERBASED scan: every selected group through the kernel
+/// into `sink`.
+fn scan_groups(
+    db: &EventDb,
+    groups: &SequenceGroups,
+    spec: &SCuboidSpec,
+    sink: &mut impl CellSink,
+    meter: &mut ScanMeter,
+    gov: &QueryGovernor,
+) -> Result<SCuboid> {
     let matcher = Matcher::new(db, &spec.template, &spec.mpred).with_governor(gov);
     let mut cuboid = SCuboid::new(
         spec.seq.group_by.clone(),
@@ -110,11 +300,9 @@ pub fn counter_based_governed(
         }
         fail_point!("cb.group");
         gov.check_now()?;
-        assignments += if use_dense {
-            scan_group_dense(db, spec, &matcher, group, &mut cuboid, meter, gov)?
-        } else {
-            scan_group_hash(db, spec, &matcher, group, &mut cuboid, meter, gov)?
-        };
+        sink.begin_group()?;
+        assignments += scan_sequences(db, spec, &matcher, &group.sequences, sink, meter)?;
+        sink.drain_into(&group.key, &mut cuboid);
     }
     if let Some(rec) = rec {
         rec.add(Counter::PatternAssignments, assignments);
@@ -123,131 +311,22 @@ pub fn counter_based_governed(
     Ok(cuboid)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_group_hash(
-    db: &EventDb,
-    spec: &SCuboidSpec,
-    matcher: &Matcher<'_>,
-    group: &solap_eventdb::SequenceGroup,
-    cuboid: &mut SCuboid,
-    meter: &mut ScanMeter,
-    gov: &QueryGovernor,
-) -> Result<u64> {
-    let mut states: HashMap<Vec<LevelValue>, AggState> = HashMap::new();
-    let mut assignments: u64 = 0;
-    for seq in &group.sequences {
-        meter.touch(seq.sid);
-        let assigned = matcher.assignments(seq, spec.restriction)?;
-        assignments += assigned.len() as u64;
-        for a in assigned {
-            if !cell_selected(db, spec, &a.cell)? {
-                continue;
-            }
-            match states.entry(a.cell.clone()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    gov.charge_cells(1)?;
-                    e.insert(AggState::new(spec.agg))
-                        .update(db, spec.agg, seq, &a)?;
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().update(db, spec.agg, seq, &a)?;
-                }
-            }
-        }
-    }
-    for (cell, state) in states {
-        cuboid.cells.insert(
-            CellKey {
-                global: group.key.clone(),
-                pattern: cell,
-            },
-            state.finish(),
-        );
-    }
-    Ok(assignments)
-}
-
-/// Figure 7 literally: initialise a dense `C[v1, …, vn]`, scan, increment.
-#[allow(clippy::too_many_arguments)]
-fn scan_group_dense(
-    db: &EventDb,
-    spec: &SCuboidSpec,
-    matcher: &Matcher<'_>,
-    group: &solap_eventdb::SequenceGroup,
-    cuboid: &mut SCuboid,
-    meter: &mut ScanMeter,
-    gov: &QueryGovernor,
-) -> Result<u64> {
-    let (strides, total) =
-        dense_strides(db, spec).expect("dense mode requires finite pattern domains");
-    // The dense array materialises the whole cell space at once; charge it
-    // up front so a budget below the array size rejects the allocation.
-    gov.charge_cells(total as u64)?;
-    let mut counters: Vec<u64> = vec![0; total];
-    let mut assignments: u64 = 0;
-    // solint: allow(governor-tick) whole dense cell space charged up front; assignments() ticks per candidate window
-    for seq in &group.sequences {
-        meter.touch(seq.sid);
-        let assigned = matcher.assignments(seq, spec.restriction)?;
-        assignments += assigned.len() as u64;
-        for a in assigned {
-            if !cell_selected(db, spec, &a.cell)? {
-                continue;
-            }
-            let idx: usize = a
-                .cell
-                .iter()
-                .zip(&strides)
-                .map(|(&v, &s)| v as usize * s)
-                .sum();
-            counters[idx] += 1;
-        }
-    }
-    let n = spec.template.n();
-    for (idx, &count) in counters.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let mut cell = vec![0u64; n];
-        let mut rest = idx;
-        for d in 0..n {
-            cell[d] = (rest / strides[d]) as u64;
-            rest %= strides[d];
-        }
-        cuboid.cells.insert(
-            CellKey {
-                global: group.key.clone(),
-                pattern: cell,
-            },
-            solap_pattern::AggValue::Count(count),
-        );
-    }
-    Ok(assignments)
-}
-
 /// The dense cell-space size, if every pattern dimension has a finite
 /// domain.
 pub fn dense_cell_space(db: &EventDb, spec: &SCuboidSpec) -> Option<usize> {
-    let mut total: usize = 1;
-    for d in &spec.template.dims {
-        total = total.checked_mul(db.level_domain_size(d.attr, d.level)?)?;
-    }
-    Some(total)
+    dense_strides(db, spec).map(|(_, total)| total)
 }
 
+/// Row-major strides of the dense cell space and its size, if every pattern
+/// dimension has a finite domain and the size fits a `usize`.
 fn dense_strides(db: &EventDb, spec: &SCuboidSpec) -> Option<(Vec<usize>, usize)> {
-    let sizes: Option<Vec<usize>> = spec
-        .template
-        .dims
-        .iter()
-        .map(|d| db.level_domain_size(d.attr, d.level))
-        .collect();
-    let sizes = sizes?;
-    let mut strides = vec![1usize; sizes.len()];
-    for d in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * sizes[d + 1];
+    let mut strides = Vec::with_capacity(spec.template.n());
+    let mut total: usize = 1;
+    for d in spec.template.dims.iter().rev() {
+        strides.push(total);
+        total = total.checked_mul(db.level_domain_size(d.attr, d.level)?)?;
     }
-    let total = sizes.first().map_or(1, |&s0| strides[0] * s0);
+    strides.reverse();
     Some((strides, total))
 }
 
@@ -330,35 +409,16 @@ pub fn counter_based_parallel_governed(
                         }
                         let matcher =
                             Matcher::new(db, &spec.template, &spec.mpred).with_governor(gov);
-                        let mut local: HashMap<Vec<LevelValue>, AggState> = HashMap::new();
+                        let mut sink = HashSink::new(db, spec, gov);
                         let mut local_meter = ScanMeter::new();
-                        let mut assignments: u64 = 0;
-                        for seq in seqs {
-                            local_meter.touch(seq.sid);
-                            let assigned = matcher.assignments(seq, spec.restriction)?;
-                            assignments += assigned.len() as u64;
-                            for a in assigned {
-                                if !cell_selected(db, spec, &a.cell)? {
-                                    continue;
-                                }
-                                match local.entry(a.cell.clone()) {
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        gov.charge_cells(1)?;
-                                        e.insert(AggState::new(spec.agg))
-                                            .update(db, spec.agg, seq, &a)?;
-                                    }
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        e.get_mut().update(db, spec.agg, seq, &a)?;
-                                    }
-                                }
-                            }
-                        }
+                        let assignments =
+                            scan_sequences(db, spec, &matcher, seqs, &mut sink, &mut local_meter)?;
                         if let Some(rec) = rec {
                             rec.add(Counter::PatternAssignments, assignments);
                             rec.add(Counter::MatchWindows, matcher.take_windows());
                         }
                         drop(worker_span);
-                        Ok((local, local_meter))
+                        Ok((sink.states, local_meter))
                     })
                 })
                 .collect();

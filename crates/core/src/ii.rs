@@ -27,10 +27,10 @@ use solap_index::{
     SetBackend,
 };
 use solap_pattern::{
-    AggFunc, AggState, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
+    AggFunc, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
 };
 
-use crate::cb::{cell_selected, group_selected};
+use crate::cb::{cell_selected, group_selected, scan_sequences, CellSink, HashSink};
 
 /// Per-position slice: `Some((slice_level, value))` fixes the value of a
 /// position (compared after rolling the position's value up to
@@ -460,7 +460,8 @@ impl<'a> IiExecutor<'a> {
     }
 
     /// Eliminates false positives from a joined candidate index by scanning
-    /// the member sequences (Figure 15 line 9).
+    /// the member sequences (Figure 15 line 9). Each candidate sequence is
+    /// loaded and scanned once, against all of its candidate patterns.
     fn verify(
         &self,
         candidate: InvertedIndex,
@@ -472,20 +473,56 @@ impl<'a> IiExecutor<'a> {
         let _span = metrics::span(rec, Stage::IndexVerify);
         let trivial = MatchPred::True;
         let matcher = Matcher::new(self.db, template, &trivial).with_governor(self.gov());
-        let mut out = InvertedIndex::new(candidate.sig.clone(), candidate.backend);
-        // solint: allow(governor-tick) contains_pattern below ticks per window/DFS node through the attached governor
+        // Invert the postings to (sid, list) pairs so each sequence's
+        // candidate patterns sit together, sids ascending. Each candidate
+        // set is freed as soon as it is inverted.
+        let mut patterns: Vec<Vec<solap_eventdb::LevelValue>> = Vec::new();
+        let mut postings: Vec<(u32, u32)> = Vec::new();
+        // solint: allow(governor-tick) O(1) per posting; the window scan below ticks per window of each sequence
         for (pattern, sids) in candidate.lists {
-            let mut kept = self.backend.empty();
-            // solint: allow(governor-tick) governed inside contains_pattern (matcher carries the governor)
-            for sid in sids.iter() {
-                meter.touch(sid);
-                if matcher.contains_pattern(self.groups.sequence(sid)?, &pattern)? {
-                    kept.push(sid);
-                }
+            let list = patterns.len() as u32;
+            postings.extend(sids.iter().map(|sid| (sid, list)));
+            patterns.push(pattern);
+        }
+        postings.sort_unstable();
+        let mut probes: Vec<&[solap_eventdb::LevelValue]> = Vec::new();
+        let mut found: Vec<bool> = Vec::new();
+        // Verified (list, sid) pairs.
+        let mut kept: Vec<(u32, u32)> = Vec::new();
+        // solint: allow(governor-tick) contains_patterns ticks per window/DFS step through the attached governor
+        for run in postings.chunk_by(|a, b| a.0 == b.0) {
+            let sid = run.first().map_or(0, |&(sid, _)| sid);
+            meter.touch(sid);
+            probes.clear();
+            probes.extend(
+                run.iter()
+                    .filter_map(|&(_, list)| patterns.get(list as usize))
+                    .map(Vec::as_slice),
+            );
+            matcher.contains_patterns(self.groups.sequence(sid)?, &probes, &mut found)?;
+            kept.extend(
+                run.iter()
+                    .zip(&found)
+                    .filter(|&(_, &hit)| hit)
+                    .map(|(&(sid, list), _)| (list, sid)),
+            );
+        }
+        drop(postings);
+        kept.sort_unstable();
+        let mut out = InvertedIndex::new(candidate.sig, candidate.backend);
+        for run in kept.chunk_by(|a, b| a.0 == b.0) {
+            let Some(pattern) = run
+                .first()
+                .and_then(|&(list, _)| patterns.get_mut(list as usize))
+            else {
+                continue;
+            };
+            let mut set = self.backend.empty();
+            // solint: allow(governor-tick) copies verified sids; the scan above ticked for each
+            for &(_, sid) in run {
+                set.push(sid);
             }
-            if !kept.is_empty() {
-                out.lists.insert(pattern, kept);
-            }
+            out.lists.insert(std::mem::take(pattern), set);
         }
         if let Some(rec) = rec {
             rec.add(Counter::MatchWindows, matcher.take_windows());
@@ -531,23 +568,22 @@ impl<'a> IiExecutor<'a> {
                 meter,
                 stats,
             )?;
-            for (pattern, sids) in index.iter_sorted() {
-                let cell = spec.template.cell_of(pattern);
-                if !cell_selected(self.db, spec, &cell)? {
-                    continue;
-                }
-                let key = CellKey {
-                    global: group.key.clone(),
-                    pattern: cell.clone(),
-                };
-                if count_by_len {
-                    self.gov().charge_cells(1)?;
-                    cuboid
-                        .cells
-                        .insert(key, solap_pattern::AggValue::Count(sids.len() as u64));
-                }
-            }
             if count_by_len {
+                let _span = metrics::span(self.gov().recorder(), Stage::Aggregate);
+                for (pattern, sids) in &index.lists {
+                    let cell = spec.template.cell_of(pattern);
+                    if !cell_selected(self.db, spec, &cell)? {
+                        continue;
+                    }
+                    self.gov().charge_cells(1)?;
+                    cuboid.cells.insert(
+                        CellKey {
+                            global: group.key.clone(),
+                            pattern: cell,
+                        },
+                        solap_pattern::AggValue::Count(sids.len() as u64),
+                    );
+                }
                 continue;
             }
             // Restriction/predicate verification: scan each indexed
@@ -555,9 +591,8 @@ impl<'a> IiExecutor<'a> {
             // sequences the lists mention) and fold its assignments — far
             // cheaper than re-enumerating occurrences per (cell, sid).
             let mut indexed = solap_index::Bitmap::new();
-            for (pattern, sids) in index.iter_sorted() {
-                let cell = spec.template.cell_of(pattern);
-                if !cell_selected(self.db, spec, &cell)? {
+            for (pattern, sids) in &index.lists {
+                if !cell_selected(self.db, spec, &spec.template.cell_of(pattern))? {
                     continue;
                 }
                 for sid in sids.iter() {
@@ -566,39 +601,13 @@ impl<'a> IiExecutor<'a> {
                 }
             }
             let _fold_span = metrics::span(self.gov().recorder(), Stage::Aggregate);
-            let mut states: std::collections::HashMap<Vec<solap_eventdb::LevelValue>, AggState> =
-                std::collections::HashMap::new();
-            let mut assignments: u64 = 0;
-            for sid in indexed.iter() {
-                meter.touch(sid);
-                let seq = self.groups.sequence(sid)?;
-                let assigned = matcher.assignments(seq, spec.restriction)?;
-                assignments += assigned.len() as u64;
-                for a in assigned {
-                    if !cell_selected(self.db, spec, &a.cell)? {
-                        continue;
-                    }
-                    match states.entry(a.cell.clone()) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            self.gov().charge_cells(1)?;
-                            e.insert(AggState::new(spec.agg))
-                                .update(self.db, spec.agg, seq, &a)?;
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            e.get_mut().update(self.db, spec.agg, seq, &a)?;
-                        }
-                    }
-                }
-            }
-            for (cell, state) in states {
-                cuboid.cells.insert(
-                    CellKey {
-                        global: group.key.clone(),
-                        pattern: cell,
-                    },
-                    state.finish(),
-                );
-            }
+            let seqs = indexed
+                .iter()
+                .map(|sid| self.groups.sequence(sid))
+                .collect::<Result<Vec<_>>>()?;
+            let mut sink = HashSink::new(self.db, spec, self.gov());
+            let assignments = scan_sequences(self.db, spec, &matcher, seqs, &mut sink, meter)?;
+            sink.drain_into(&group.key, &mut cuboid);
             if let Some(rec) = self.gov().recorder() {
                 rec.add(Counter::PatternAssignments, assignments);
             }
@@ -642,6 +651,7 @@ impl<'a> IiExecutor<'a> {
                 continue;
             }
             self.gov().check_now()?;
+            let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
             let Some(ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), 0)) else {
                 return Ok(false);
             };
@@ -699,6 +709,7 @@ impl<'a> IiExecutor<'a> {
             {
                 continue;
             }
+            let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
             let Some(coarse) = self.store.get(&self.key(group_idx, prev_sig.clone(), 0)) else {
                 return Ok(false);
             };
@@ -728,7 +739,6 @@ impl<'a> IiExecutor<'a> {
             for &sid in &sids {
                 meter.touch(sid);
             }
-            let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
             let (unfiltered, _) =
                 build_index_governed(self.db, seqs, new, self.backend, self.gov())?;
             // Keep only fine lists compatible with the slice (the scan
@@ -806,6 +816,7 @@ impl<'a> IiExecutor<'a> {
             };
             stats.index_joins += 1;
             let verified = Arc::new(self.verify(candidate, new, meter)?);
+            let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
             stats.indices_built += 1;
             stats.index_bytes_built += verified.heap_bytes();
             self.store

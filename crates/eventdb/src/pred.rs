@@ -108,14 +108,23 @@ impl Pred {
         Pred::Not(Box::new(self))
     }
 
+    /// Evaluates `attr <op> value` against event `row` without building a
+    /// [`Pred`], so a caller holding the literal by reference copies nothing.
+    pub fn eval_cmp(
+        db: &EventDb,
+        row: RowId,
+        attr: AttrId,
+        op: CmpOp,
+        value: &Value,
+    ) -> Result<bool> {
+        Ok(op.test(compare(db, row, attr, value)?))
+    }
+
     /// Evaluates the predicate against event `row`.
     pub fn eval(&self, db: &EventDb, row: RowId) -> Result<bool> {
         match self {
             Pred::True => Ok(true),
-            Pred::Cmp { attr, op, value } => {
-                let ord = compare(db, row, *attr, value)?;
-                Ok(op.test(ord))
-            }
+            Pred::Cmp { attr, op, value } => Pred::eval_cmp(db, row, *attr, *op, value),
             Pred::In { attr, values } => {
                 for v in values {
                     if compare(db, row, *attr, v)? == Ordering::Equal {

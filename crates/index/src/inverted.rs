@@ -101,16 +101,21 @@ impl InvertedIndex {
 
     /// Adds `sid` to the list of `pattern` (creating it), preserving sid
     /// order — BUILDINDEX line 5. Under [`SetBackend::Auto`] the list is
-    /// density-promoted as it grows.
+    /// density-promoted as it grows. The key is copied only when the list
+    /// is new.
     pub fn add(&mut self, pattern: &[LevelValue], sid: solap_eventdb::Sid) {
-        let set = self
-            .lists
-            .entry(pattern.to_vec())
-            .or_insert_with(|| self.backend.empty());
-        match self.backend {
+        let backend = self.backend;
+        let push = |set: &mut crate::sidset::SidSet| match backend {
             SetBackend::Auto => set.push_promoting(sid),
             _ => set.push(sid),
+        };
+        if let Some(set) = self.lists.get_mut(pattern) {
+            push(set);
+            return;
         }
+        let mut set = backend.empty();
+        push(&mut set);
+        self.lists.insert(pattern.to_vec(), set);
     }
 
     /// Canonicalizes every list for long-term storage (see

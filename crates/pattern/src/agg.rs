@@ -90,40 +90,49 @@ impl AggState {
         seq: &Sequence,
         assignment: &Assignment,
     ) -> Result<()> {
-        let measure_rows = |content: &AssignedContent, first_only: bool| -> Vec<u32> {
-            match content {
-                AssignedContent::Matched(positions) => {
-                    let it = positions.iter().map(|&p| seq.rows[p as usize]);
-                    if first_only {
-                        it.take(1).collect()
-                    } else {
-                        it.collect()
-                    }
-                }
-                AssignedContent::WholeSequence => {
-                    if first_only {
-                        seq.rows.iter().copied().take(1).collect()
-                    } else {
-                        seq.rows.clone()
-                    }
-                }
-            }
+        let matched = match &assignment.content {
+            AssignedContent::Matched(positions) => Some(positions.as_slice()),
+            AssignedContent::WholeSequence => None,
+        };
+        self.update_with(db, func, seq, matched)
+    }
+
+    /// Folds one assignment given by its content: `Some(positions)` of the
+    /// matched events, or `None` for the whole sequence (the shape
+    /// [`crate::Matcher::for_each_assignment`] hands out).
+    pub fn update_with(
+        &mut self,
+        db: &EventDb,
+        func: AggFunc,
+        seq: &Sequence,
+        matched: Option<&[u32]>,
+    ) -> Result<()> {
+        let measure_rows = |first_only: bool| {
+            let (positions, whole) = match matched {
+                Some(positions) => (positions, &[][..]),
+                None => (&[][..], seq.rows.as_slice()),
+            };
+            positions
+                .iter()
+                .map(|&p| seq.rows[p as usize])
+                .chain(whole.iter().copied())
+                .take(if first_only { 1 } else { usize::MAX })
         };
         match (self, func) {
             (AggState::Count(c), AggFunc::Count) => *c += 1,
             (AggState::Sum(s), AggFunc::Sum(attr, mode)) => {
-                for row in measure_rows(&assignment.content, mode == SumMode::FirstEvent) {
+                for row in measure_rows(mode == SumMode::FirstEvent) {
                     *s += db.float(row, attr).unwrap_or(0.0);
                 }
             }
             (AggState::Avg(s, n), AggFunc::Avg(attr, mode)) => {
-                for row in measure_rows(&assignment.content, mode == SumMode::FirstEvent) {
+                for row in measure_rows(mode == SumMode::FirstEvent) {
                     *s += db.float(row, attr).unwrap_or(0.0);
                     *n += 1;
                 }
             }
             (AggState::Min(m), AggFunc::Min(attr)) => {
-                for row in measure_rows(&assignment.content, false) {
+                for row in measure_rows(false) {
                     let v = db.float(row, attr).unwrap_or(f64::INFINITY);
                     if v < *m {
                         *m = v;
@@ -131,7 +140,7 @@ impl AggState {
                 }
             }
             (AggState::Max(m), AggFunc::Max(attr)) => {
-                for row in measure_rows(&assignment.content, false) {
+                for row in measure_rows(false) {
                     let v = db.float(row, attr).unwrap_or(f64::NEG_INFINITY);
                     if v > *m {
                         *m = v;

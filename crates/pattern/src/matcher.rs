@@ -11,17 +11,24 @@
 //! * all-matched-go: every satisfying occurrence;
 //! * left-maximality-data-go: leftmost per cell, but the whole sequence is
 //!   the assigned content.
+//!
+//! Every entry point runs on one kernel. It loads a sequence's level values
+//! once into lanes the matcher keeps, walks the windows (SUBSTRING) or the
+//! depth-first occurrence tree (SUBSEQUENCE), writes each occurrence into
+//! reused position and cell buffers, and dedupes cells through one
+//! arena-backed set that is cleared, not reallocated, between sequences.
+//! Sinks see each occurrence as borrowed slices, so a key is copied only
+//! by a sink that keeps it (a new cuboid cell or inverted list).
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use solap_eventdb::{EventDb, LevelValue, QueryGovernor, Result, RowId, Sequence};
 
 use crate::mpred::MatchPred;
-use crate::template::{CellRestriction, PatternTemplate};
+use crate::template::{CellRestriction, PatternKind, PatternTemplate};
 
 /// One occurrence of a template in a sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Occurrence {
     /// Indices into the sequence's event list, strictly increasing;
     /// contiguous for substring templates.
@@ -49,15 +56,18 @@ pub struct Assignment {
 }
 
 /// A matcher binds a database, a template and a matching predicate, and
-/// amortises per-sequence level-value extraction across its methods.
+/// reuses its per-sequence buffers across sequences and calls.
 pub struct Matcher<'a> {
     db: &'a EventDb,
     template: &'a PatternTemplate,
     mpred: &'a MatchPred,
-    /// Distinct `(attr, level)` pairs used by the template's dimensions and
-    /// the index of each dimension's pair within the distinct list.
+    /// Distinct `(attr, level)` pairs used by the template's dimensions.
     lanes: Vec<(u32, usize)>,
-    dim_lane: Vec<usize>,
+    /// Per position: the lane holding its dimension's values.
+    pos_lane: Vec<usize>,
+    /// Per dimension: the position where its symbol first appears, which
+    /// binds the dimension's value; later positions must repeat it.
+    first_pos: Vec<usize>,
     /// Optional per-query governor ticked per match-window / DFS node, so
     /// explosive occurrence enumeration stays abortable.
     gov: Option<&'a QueryGovernor>,
@@ -65,19 +75,28 @@ pub struct Matcher<'a> {
     /// [`Matcher::take_windows`] (observability; matchers are per-thread,
     /// so a non-atomic cell suffices).
     windows: Cell<u64>,
+    /// Buffers reused across calls. A call takes them out and puts them
+    /// back, so a re-entrant call merely starts with empty ones.
+    scratch: Cell<Scratch>,
 }
 
-/// Per-sequence extracted values: one lane per distinct `(attr, level)`.
-struct SeqView {
-    lanes: Vec<Vec<LevelValue>>,
+/// The kernel's reusable buffers.
+#[derive(Default)]
+struct Scratch {
+    /// The loaded sequence's level values, lane-major: lane `l`, event `i`
+    /// at `l * len + i`.
+    lanes: Vec<LevelValue>,
     len: usize,
-}
-
-impl SeqView {
-    #[inline]
-    fn value(&self, lane: usize, idx: usize) -> LevelValue {
-        self.lanes[lane][idx]
-    }
+    positions: Vec<u32>,
+    rows: Vec<RowId>,
+    cell: Vec<LevelValue>,
+    /// The matched value string, one value per template position.
+    values: Vec<LevelValue>,
+    seen: SliceSet,
+    /// Verification: per distinct pattern, whether a window matched it.
+    hits: Vec<bool>,
+    /// Verification: per probed pattern, its entry in `seen`.
+    entry_of: Vec<usize>,
 }
 
 impl<'a> Matcher<'a> {
@@ -101,14 +120,20 @@ impl<'a> Matcher<'a> {
             };
             dim_lane.push(lane);
         }
+        let mut first_pos = vec![usize::MAX; template.n()];
+        for (p, &d) in template.symbols.iter().enumerate() {
+            first_pos[d] = first_pos[d].min(p);
+        }
         Matcher {
             db,
             template,
             mpred,
             lanes,
-            dim_lane,
+            pos_lane: template.symbols.iter().map(|&d| dim_lane[d]).collect(),
+            first_pos,
             gov: None,
             windows: Cell::new(0),
+            scratch: Cell::default(),
         }
     }
 
@@ -140,151 +165,171 @@ impl<'a> Matcher<'a> {
         self.template
     }
 
-    fn view(&self, seq: &Sequence) -> Result<SeqView> {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut Scratch) -> Result<T>) -> Result<T> {
+        let mut s = self.scratch.take();
+        let out = f(&mut s);
+        self.scratch.set(s);
+        out
+    }
+
+    /// Loads `seq`'s lanes into `s` and sizes the occurrence buffers.
+    fn load(&self, s: &mut Scratch, seq: &Sequence) -> Result<()> {
+        s.len = seq.rows.len();
+        s.lanes.clear();
         for &(attr, level) in &self.lanes {
-            let mut v = Vec::with_capacity(seq.rows.len());
-            // solint: allow(governor-tick) O(rows) lane materialization per sequence; the window/DFS scan that consumes it ticks
+            // solint: allow(governor-tick) O(rows) lane fill per sequence; the window/DFS scan that consumes it ticks
             for &row in &seq.rows {
-                v.push(self.db.value_at_level(row, attr, level)?);
+                s.lanes.push(self.db.value_at_level(row, attr, level)?);
             }
-            lanes.push(v);
         }
-        Ok(SeqView {
-            lanes,
-            len: seq.rows.len(),
-        })
+        let (m, n) = (self.template.m(), self.template.n());
+        s.positions.clear();
+        s.rows.clear();
+        s.rows.resize(m, 0);
+        s.cell.clear();
+        s.cell.resize(n, 0);
+        s.values.clear();
+        s.values.resize(m, 0);
+        s.seen.clear(n);
+        Ok(())
     }
 
-    #[inline]
-    fn lane_of_pos(&self, pos: usize) -> usize {
-        self.dim_lane[self.template.symbols[pos]]
-    }
-
-    /// Enumerates satisfying occurrences leftmost-first, calling `f` for
-    /// each; `f` returns `false` to stop early.
-    pub fn for_each_occurrence(
+    /// The enumeration kernel: hands every occurrence of the template in
+    /// `seq` satisfying `pred` to `sink` as (cell key, matched positions,
+    /// matched value string), leftmost-first; the sink returns `Ok(false)`
+    /// to stop. With `dedupe`, only the first satisfying occurrence of each
+    /// cell is handed on.
+    fn scan<F>(
         &self,
+        s: &mut Scratch,
         seq: &Sequence,
-        mut f: impl FnMut(&Occurrence) -> bool,
-    ) -> Result<()> {
-        let view = self.view(seq)?;
-        self.for_each_occurrence_in_view(seq, &view, &mut f)
-    }
-
-    fn for_each_occurrence_in_view(
-        &self,
-        seq: &Sequence,
-        view: &SeqView,
-        f: &mut impl FnMut(&Occurrence) -> bool,
-    ) -> Result<()> {
-        let m = self.template.m();
-        if view.len < m {
+        pred: &MatchPred,
+        dedupe: bool,
+        sink: &mut F,
+    ) -> Result<()>
+    where
+        F: FnMut(&[LevelValue], &[u32], &[LevelValue]) -> Result<bool>,
+    {
+        self.load(s, seq)?;
+        let (m, len) = (self.template.m(), s.len);
+        if len < m {
             return Ok(());
         }
         match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                let mut rows: Vec<RowId> = vec![0; m];
-                'windows: for start in 0..=(view.len - m) {
+            PatternKind::Substring => {
+                'windows: for start in 0..=(len - m) {
                     self.tick()?;
-                    let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
                     for p in 0..m {
-                        let v = view.value(self.lane_of_pos(p), start + p);
+                        let v = s.lanes[self.pos_lane[p] * len + start + p];
+                        s.values[p] = v;
                         let d = self.template.symbols[p];
-                        match cell[d] {
-                            Some(prev) if prev != v => continue 'windows,
-                            Some(_) => {}
-                            None => cell[d] = Some(v),
+                        if self.first_pos[d] == p {
+                            s.cell[d] = v;
+                        } else if s.cell[d] != v {
+                            continue 'windows;
                         }
                     }
-                    rows.copy_from_slice(&seq.rows[start..start + m]);
-                    if !self.mpred.eval(self.db, &rows)? {
+                    // A cell already assigned drops the window whatever the
+                    // predicate says, so test that first.
+                    if dedupe && s.seen.find(&s.cell).is_some() {
                         continue;
                     }
-                    let occ = Occurrence {
-                        positions: (start as u32..(start + m) as u32).collect(),
-                        cell: cell.into_iter().map(|c| c.expect("filled")).collect(),
-                    };
-                    if !f(&occ) {
+                    if !pred.eval(self.db, &seq.rows[start..start + m])? {
+                        continue;
+                    }
+                    if dedupe {
+                        s.seen.insert(&s.cell);
+                    }
+                    s.positions.clear();
+                    s.positions.extend(start as u32..(start + m) as u32);
+                    if !sink(&s.cell, &s.positions, &s.values)? {
                         return Ok(());
                     }
                 }
                 Ok(())
             }
-            crate::template::PatternKind::Subsequence => {
-                let mut positions: Vec<u32> = Vec::with_capacity(m);
-                let mut rows: Vec<RowId> = vec![0; m];
-                let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
-                let mut stop = false;
-                self.dfs(
-                    seq,
-                    view,
-                    0,
-                    0,
-                    &mut positions,
-                    &mut rows,
-                    &mut cell,
-                    f,
-                    &mut stop,
-                )?;
-                Ok(())
-            }
+            PatternKind::Subsequence => self.dfs(s, seq, pred, dedupe, 0, 0, sink).map(|_| ()),
         }
     }
 
+    /// Depth-first subsequence enumeration from template position `p`,
+    /// choosing events at or after `from`. Returns `Ok(false)` once the
+    /// sink asked to stop.
     #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    fn dfs<F>(
         &self,
+        s: &mut Scratch,
         seq: &Sequence,
-        view: &SeqView,
+        pred: &MatchPred,
+        dedupe: bool,
         p: usize,
         from: usize,
-        positions: &mut Vec<u32>,
-        rows: &mut Vec<RowId>,
-        cell: &mut Vec<Option<LevelValue>>,
-        f: &mut impl FnMut(&Occurrence) -> bool,
-        stop: &mut bool,
-    ) -> Result<()> {
+        sink: &mut F,
+    ) -> Result<bool>
+    where
+        F: FnMut(&[LevelValue], &[u32], &[LevelValue]) -> Result<bool>,
+    {
         self.tick()?;
         let m = self.template.m();
         if p == m {
-            let occ = Occurrence {
-                positions: positions.clone(),
-                cell: cell.iter().map(|c| c.expect("filled")).collect(),
-            };
-            if !f(&occ) {
-                *stop = true;
+            if dedupe {
+                if s.seen.find(&s.cell).is_some() {
+                    return Ok(true);
+                }
+                s.seen.insert(&s.cell);
             }
-            return Ok(());
+            return sink(&s.cell, &s.positions, &s.values);
         }
         // Not enough events left to complete the pattern.
-        if view.len < m - p || from > view.len - (m - p) {
-            return Ok(());
+        let last = s.len - (m - p);
+        if from > last {
+            return Ok(true);
         }
         let d = self.template.symbols[p];
-        let lane = self.dim_lane[d];
-        for i in from..=(view.len - (m - p)) {
-            let v = view.value(lane, i);
-            let had = cell[d];
-            if let Some(prev) = had {
-                if prev != v {
-                    continue;
-                }
+        let (lane, binds) = (self.pos_lane[p] * s.len, self.first_pos[d] == p);
+        for i in from..=last {
+            let v = s.lanes[lane + i];
+            if binds {
+                s.cell[d] = v;
+            } else if s.cell[d] != v {
+                continue;
             }
-            cell[d] = Some(v);
-            positions.push(i as u32);
-            rows[p] = seq.rows[i];
+            s.values[p] = v;
+            s.positions.push(i as u32);
+            s.rows[p] = seq.rows[i];
             // Prune with the conjuncts already determined.
-            if self.mpred.eval_prefix(self.db, rows, p + 1)? {
-                self.dfs(seq, view, p + 1, i + 1, positions, rows, cell, f, stop)?;
-            }
-            positions.pop();
-            cell[d] = had;
-            if *stop {
-                return Ok(());
+            let go = if pred.eval_prefix(self.db, &s.rows, p + 1)? {
+                self.dfs(s, seq, pred, dedupe, p + 1, i + 1, sink)?
+            } else {
+                true
+            };
+            s.positions.pop();
+            if !go {
+                return Ok(false);
             }
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Hands each of this sequence's cell assignments under `restriction`
+    /// to `sink`, leftmost-first, deterministic. The sink receives the cell
+    /// key and the assigned content: `Some(positions)` of the matched
+    /// events, or `None` for the whole sequence (the data-go restriction).
+    /// Both are borrowed from buffers reused for the next assignment.
+    pub fn for_each_assignment(
+        &self,
+        seq: &Sequence,
+        restriction: CellRestriction,
+        mut sink: impl FnMut(&[LevelValue], Option<&[u32]>) -> Result<()>,
+    ) -> Result<()> {
+        let dedupe = restriction != CellRestriction::AllMatchedGo;
+        let whole = restriction == CellRestriction::LeftMaximalityDataGo;
+        self.with_scratch(|s| {
+            self.scan(s, seq, self.mpred, dedupe, &mut |cell, positions, _| {
+                sink(cell, (!whole).then_some(positions))?;
+                Ok(true)
+            })
+        })
     }
 
     /// Produces this sequence's cell assignments under `restriction`,
@@ -295,33 +340,36 @@ impl<'a> Matcher<'a> {
         restriction: CellRestriction,
     ) -> Result<Vec<Assignment>> {
         let mut out: Vec<Assignment> = Vec::new();
-        let mut seen: HashMap<Vec<LevelValue>, ()> = HashMap::new();
-        self.for_each_occurrence(seq, |occ| {
-            match restriction {
-                CellRestriction::AllMatchedGo => out.push(Assignment {
-                    cell: occ.cell.clone(),
-                    content: AssignedContent::Matched(occ.positions.clone()),
-                }),
-                CellRestriction::LeftMaximalityMatchedGo => {
-                    if seen.insert(occ.cell.clone(), ()).is_none() {
-                        out.push(Assignment {
-                            cell: occ.cell.clone(),
-                            content: AssignedContent::Matched(occ.positions.clone()),
-                        });
-                    }
-                }
-                CellRestriction::LeftMaximalityDataGo => {
-                    if seen.insert(occ.cell.clone(), ()).is_none() {
-                        out.push(Assignment {
-                            cell: occ.cell.clone(),
-                            content: AssignedContent::WholeSequence,
-                        });
-                    }
-                }
-            }
-            true
+        self.for_each_assignment(seq, restriction, |cell, matched| {
+            out.push(Assignment {
+                cell: cell.to_vec(),
+                content: match matched {
+                    Some(positions) => AssignedContent::Matched(positions.to_vec()),
+                    None => AssignedContent::WholeSequence,
+                },
+            });
+            Ok(())
         })?;
         Ok(out)
+    }
+
+    /// Enumerates satisfying occurrences leftmost-first, calling `f` for
+    /// each; `f` returns `false` to stop early.
+    pub fn for_each_occurrence(
+        &self,
+        seq: &Sequence,
+        mut f: impl FnMut(&Occurrence) -> bool,
+    ) -> Result<()> {
+        let mut occ = Occurrence::default();
+        self.with_scratch(|s| {
+            self.scan(s, seq, self.mpred, false, &mut |cell, positions, _| {
+                occ.positions.clear();
+                occ.positions.extend_from_slice(positions);
+                occ.cell.clear();
+                occ.cell.extend_from_slice(cell);
+                Ok(f(&occ))
+            })
+        })
     }
 
     /// Finds the leftmost satisfying occurrence whose cell equals `cell`.
@@ -359,40 +407,80 @@ impl<'a> Matcher<'a> {
     /// predicate**. This is the containment test the inverted-index
     /// verification scans use (Figure 15 line 9).
     pub fn contains_pattern(&self, seq: &Sequence, values: &[LevelValue]) -> Result<bool> {
-        debug_assert_eq!(values.len(), self.template.m());
-        let view = self.view(seq)?;
-        let m = values.len();
-        if view.len < m {
-            return Ok(false);
-        }
-        match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                'w: for start in 0..=(view.len - m) {
-                    self.tick()?;
-                    for (p, &v) in values.iter().enumerate() {
-                        if view.value(self.lane_of_pos(p), start + p) != v {
-                            continue 'w;
+        let mut found = Vec::with_capacity(1);
+        self.contains_patterns(seq, &[values], &mut found)?;
+        Ok(found.first() == Some(&true))
+    }
+
+    /// [`Matcher::contains_pattern`] for several value strings over one
+    /// load of `seq`: `found[i]` tells whether `seq` contains
+    /// `patterns[i]`. SUBSTRING walks the windows once, probing each
+    /// against every pattern, and stops when all are found; SUBSEQUENCE
+    /// runs greedy leftmost containment per pattern.
+    pub fn contains_patterns(
+        &self,
+        seq: &Sequence,
+        patterns: &[&[LevelValue]],
+        found: &mut Vec<bool>,
+    ) -> Result<()> {
+        found.clear();
+        found.resize(patterns.len(), false);
+        self.with_scratch(|s| {
+            self.load(s, seq)?;
+            let (m, len) = (self.template.m(), s.len);
+            if len < m {
+                return Ok(());
+            }
+            match self.template.kind {
+                PatternKind::Substring => {
+                    s.seen.clear(m);
+                    s.entry_of.clear();
+                    for pattern in patterns {
+                        debug_assert_eq!(pattern.len(), m);
+                        s.entry_of.push(s.seen.insert(pattern).0);
+                    }
+                    s.hits.clear();
+                    s.hits.resize(s.seen.len(), false);
+                    let mut missing = s.seen.len();
+                    for start in 0..=(len - m) {
+                        if missing == 0 {
+                            break;
+                        }
+                        self.tick()?;
+                        for p in 0..m {
+                            s.values[p] = s.lanes[self.pos_lane[p] * len + start + p];
+                        }
+                        if let Some(e) = s.seen.find(&s.values) {
+                            if !s.hits[e] {
+                                s.hits[e] = true;
+                                missing -= 1;
+                            }
                         }
                     }
-                    return Ok(true);
+                    for (f, &e) in found.iter_mut().zip(&s.entry_of) {
+                        *f = s.hits[e];
+                    }
                 }
-                Ok(false)
-            }
-            crate::template::PatternKind::Subsequence => {
-                // Fixed values: greedy leftmost matching decides existence.
-                let mut p = 0;
-                for i in 0..view.len {
-                    self.tick()?;
-                    if view.value(self.lane_of_pos(p), i) == values[p] {
-                        p += 1;
-                        if p == m {
-                            return Ok(true);
+                PatternKind::Subsequence => {
+                    for (f, pattern) in found.iter_mut().zip(patterns) {
+                        // Fixed values: greedy leftmost matching decides
+                        // existence.
+                        let mut p = 0;
+                        for i in 0..len {
+                            self.tick()?;
+                            if s.lanes[self.pos_lane[p] * len + i] == pattern[p] {
+                                p += 1;
+                                if p == m {
+                                    *f = true;
+                                    break;
+                                }
+                            }
                         }
                     }
                 }
-                Ok(false)
             }
-        }
+            Ok(())
+        })
     }
 
     /// Enumerates, ignoring the matching predicate, every **unique**
@@ -404,60 +492,117 @@ impl<'a> Matcher<'a> {
         seq: &Sequence,
         mut f: impl FnMut(&[LevelValue]),
     ) -> Result<()> {
-        let view = self.view(seq)?;
-        let m = self.template.m();
-        if view.len < m {
-            return Ok(());
+        // A value string and its cell determine each other, so deduping
+        // cells dedupes the strings.
+        self.with_scratch(|s| {
+            self.scan(s, seq, &MatchPred::True, true, &mut |_, _, values| {
+                f(values);
+                Ok(true)
+            })
+        })
+    }
+}
+
+/// A set of equal-width `LevelValue` strings kept in one flat arena and
+/// probed by borrowed slices. Clearing keeps every buffer, so once warmed
+/// up the set allocates nothing.
+#[derive(Default)]
+struct SliceSet {
+    width: usize,
+    /// Entry `e` occupies `keys[e * width..(e + 1) * width]`.
+    keys: Vec<LevelValue>,
+    /// Open-addressing table (power-of-two length): 0 = empty, else entry
+    /// index + 1.
+    slots: Vec<u32>,
+    /// Occupied slot indices, so clearing touches only them.
+    used: Vec<u32>,
+}
+
+impl SliceSet {
+    /// Empties the set for keys of `width` values.
+    fn clear(&mut self, width: usize) {
+        for &slot in &self.used {
+            self.slots[slot as usize] = 0;
         }
-        let mut seen: HashMap<Vec<LevelValue>, ()> = HashMap::new();
-        match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                let mut buf: Vec<LevelValue> = vec![0; m];
-                'w: for start in 0..=(view.len - m) {
-                    self.tick()?;
-                    let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
-                    for p in 0..m {
-                        let v = view.value(self.lane_of_pos(p), start + p);
-                        let d = self.template.symbols[p];
-                        match cell[d] {
-                            Some(prev) if prev != v => continue 'w,
-                            Some(_) => {}
-                            None => cell[d] = Some(v),
-                        }
-                        *buf.get_mut(p).expect("buf sized m") = v;
-                    }
-                    if seen.insert(buf.clone(), ()).is_none() {
-                        f(&buf);
-                    }
-                }
-            }
-            crate::template::PatternKind::Subsequence => {
-                // Enumerate via the predicate-free DFS; dedupe value strings.
-                let trivial = MatchPred::True;
-                let mut free = Matcher::new(self.db, self.template, &trivial);
-                free.gov = self.gov;
-                let walked = free.for_each_occurrence_in_view(seq, &view, &mut |occ| {
-                    let values = self.template.expand_cell(&occ.cell);
-                    if seen.insert(values.clone(), ()).is_none() {
-                        f(&values);
-                    }
-                    true
-                });
-                // Fold the nested matcher's window count into ours so
-                // take_windows() sees the full enumeration cost.
-                self.windows.set(self.windows.get() + free.take_windows());
-                walked?;
+        self.used.clear();
+        self.keys.clear();
+        self.width = width;
+    }
+
+    fn len(&self) -> usize {
+        self.used.len()
+    }
+
+    fn key(&self, e: usize) -> &[LevelValue] {
+        &self.keys[e * self.width..(e + 1) * self.width]
+    }
+
+    /// The entry holding `key`, or the empty slot where it belongs. The
+    /// table must be non-empty.
+    fn probe(&self, key: &[LevelValue]) -> std::result::Result<usize, usize> {
+        let mut h: u64 = 0;
+        for &v in key {
+            h = (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        let mask = self.slots.len() - 1;
+        // The multiply pushes the entropy up: take the top bits.
+        let mut i = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                e if self.key(e as usize - 1) == key => return Ok(e as usize - 1),
+                _ => i = (i + 1) & mask,
             }
         }
-        Ok(())
+    }
+
+    /// The entry index of `key`, if present.
+    fn find(&self, key: &[LevelValue]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(key).ok()
+    }
+
+    /// Inserts `key` unless present; returns its entry index and whether
+    /// it is new.
+    fn insert(&mut self, key: &[LevelValue]) -> (usize, bool) {
+        debug_assert_eq!(key.len(), self.width);
+        if (self.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        match self.probe(key) {
+            Ok(e) => (e, false),
+            Err(slot) => {
+                let e = self.len();
+                self.keys.extend_from_slice(key);
+                self.slots[slot] = e as u32 + 1;
+                self.used.push(slot as u32);
+                (e, true)
+            }
+        }
+    }
+
+    /// Doubles the table and re-places every entry.
+    fn grow(&mut self) {
+        let (entries, size) = (self.len(), (self.slots.len() * 2).max(16));
+        self.slots.clear();
+        self.slots.resize(size, 0);
+        self.used.clear();
+        for e in 0..entries {
+            if let Err(slot) = self.probe(self.key(e)) {
+                self.slots[slot] = e as u32 + 1;
+                self.used.push(slot as u32);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::PatternKind;
     use solap_eventdb::{CmpOp, ColumnType, EventDbBuilder, Value};
+    use std::collections::HashMap;
 
     /// Builds a db holding one station-sequence per test sequence; action
     /// alternates in/out by position (as in Figure 8's note).

@@ -84,15 +84,7 @@ impl MatchPred {
                 attr,
                 op,
                 value,
-            } => {
-                let row = rows[*pos];
-                let p = solap_eventdb::Pred::Cmp {
-                    attr: *attr,
-                    op: *op,
-                    value: value.clone(),
-                };
-                p.eval(db, row)
-            }
+            } => solap_eventdb::Pred::eval_cmp(db, rows[*pos], *attr, *op, value),
             MatchPred::And(a, b) => Ok(a.eval(db, rows)? && b.eval(db, rows)?),
             MatchPred::Or(a, b) => Ok(a.eval(db, rows)? || b.eval(db, rows)?),
             MatchPred::Not(p) => Ok(!p.eval(db, rows)?),

@@ -6,7 +6,7 @@
 //! builds — with exact, thread-invariant index-byte accounting and clean
 //! recovery from a governor abort mid-join.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -465,4 +465,138 @@ fn compressed_index_is_smaller_on_sparse_lists() {
     );
     // Auto never does worse than the best single encoding it chooses from.
     assert!(heap(SetBackend::Auto) <= compressed.max(heap(SetBackend::Bitmap)));
+}
+
+/// Brute force, no matcher: the distinct value strings `vals` contains as
+/// instantiations of `shape` — every window (SUBSTRING) or every increasing
+/// position tuple (SUBSEQUENCE), by nested position loops.
+fn brute_patterns(vals: &[u64], shape: &[usize], kind: PatternKind) -> BTreeSet<Vec<u64>> {
+    let mut tuples: Vec<Vec<usize>> = vec![vec![]];
+    for _ in 0..shape.len() {
+        let mut longer = Vec::new();
+        for t in &tuples {
+            let from = t.last().map_or(0, |&l| l + 1);
+            let to = match (kind, t.is_empty()) {
+                (PatternKind::Substring, false) => (from + 1).min(vals.len()),
+                _ => vals.len(),
+            };
+            for i in from..to {
+                longer.push(t.iter().copied().chain([i]).collect());
+            }
+        }
+        tuples = longer;
+    }
+    tuples
+        .iter()
+        .map(|t| t.iter().map(|&i| vals[i]).collect::<Vec<u64>>())
+        .filter(|v| (0..v.len()).all(|p| (0..p).all(|q| shape[q] != shape[p] || v[q] == v[p])))
+        .collect()
+}
+
+fn lists_of(ix: &InvertedIndex) -> BTreeMap<Vec<u64>, Vec<u32>> {
+    ix.lists
+        .iter()
+        .map(|(k, v)| (k.clone(), v.to_vec()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass verification scan of the join ladder (one load and
+    /// window walk per candidate sequence) keeps exactly what per-posting
+    /// `contains_pattern` verification keeps, on unsliced and sliced
+    /// candidates, and both equal the brute-force index.
+    #[test]
+    fn one_pass_verify_equals_per_posting_verify(
+        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..10), 1..16),
+        shape in 0usize..3,
+        substring in any::<bool>(),
+        slice in prop::option::of(0u8..4),
+    ) {
+        use s_olap::core::ii::{pos_slice_fp, IiExecutor};
+        use s_olap::core::stats::{ExecStats, ScanMeter};
+        use s_olap::eventdb::{build_sequence_groups, Pred, SeqQuerySpec};
+        use s_olap::index::{join::join, IndexStore};
+        use s_olap::pattern::{Matcher, TemplateSignature};
+
+        let shape: &[usize] = [&[0, 1, 2][..], &[0, 1, 0], &[0, 1, 1, 0]][shape];
+
+        let mut db = EventDbBuilder::new()
+            .dimension("sid", ColumnType::Int)
+            .dimension("pos", ColumnType::Int)
+            .dimension("symbol", ColumnType::Str)
+            .build()
+            .unwrap();
+        for (sid, seq) in seqs.iter().enumerate() {
+            for (pos, &sym) in seq.iter().enumerate() {
+                db.push_row(&[Value::Int(sid as i64), Value::Int(pos as i64), Value::Str(format!("s{sym}"))])
+                    .unwrap();
+            }
+        }
+        let groups = build_sequence_groups(&db, &SeqQuerySpec {
+            filter: Pred::True,
+            cluster_by: vec![AttrLevel::new(0, 0)],
+            sequence_by: vec![SortKey { attr: 1, ascending: true }],
+            group_by: vec![],
+        }).unwrap();
+        let kind = if substring { PatternKind::Substring } else { PatternKind::Subsequence };
+        let names: Vec<&str> = shape.iter().map(|&d| ["X", "Y", "Z"][d]).collect();
+        let template = PatternTemplate::new(kind, &names, &[("X", 2, 0), ("Y", 2, 0), ("Z", 2, 0)]
+            .into_iter().filter(|(n, _, _)| names.contains(n)).collect::<Vec<_>>()).unwrap();
+        let sig = template.signature();
+        let sliced = slice.and_then(|s| db.dict(2).unwrap().lookup(&format!("s{s}"))).map(|v| v as u64);
+        let slice_ok = |c: &[u64]| sliced.is_none_or(|v| c[0] == v);
+        let pair_sig = |k: usize| TemplateSignature {
+            kind,
+            per_position: vec![sig.per_position[k - 1], sig.per_position[k]],
+            eq_classes: if sig.eq_classes[k - 1] == sig.eq_classes[k] { vec![0, 0] } else { vec![0, 1] },
+        };
+        // Reference: the same join ladder, verified posting by posting.
+        let seq_list: Vec<_> = groups.iter_sequences().cloned().collect();
+        let prefix2 = PatternTemplate::from_signature(&sig.prefix(2));
+        let (mut current, _) = build_index(&db, seq_list.iter(), &prefix2, SetBackend::List).unwrap();
+        current.lists.retain(|k, _| slice_ok(k));
+        for k in 2..template.m() {
+            let pair = PatternTemplate::from_signature(&pair_sig(k));
+            let (pair_ix, _) = build_index(&db, seq_list.iter(), &pair, SetBackend::List).unwrap();
+            let target = PatternTemplate::from_signature(&sig.prefix(k + 1));
+            let candidate = join(&current, &pair_ix, target.signature(), |c| target.is_instantiation(c) && slice_ok(c));
+            let free = MatchPred::True;
+            let matcher = Matcher::new(&db, &target, &free);
+            let mut verified = InvertedIndex::new(target.signature(), SetBackend::List);
+            for (pattern, sids) in &candidate.lists {
+                for sid in sids.iter() {
+                    if matcher.contains_pattern(groups.sequence(sid).unwrap(), pattern).unwrap() {
+                        verified.add(pattern, sid);
+                    }
+                }
+            }
+            current = verified;
+        }
+        // The executor, with every rung's pair index cached so each rung
+        // takes the join + one-pass verification path.
+        let store = IndexStore::new(64, 64 << 20);
+        let ex = IiExecutor::new(&db, &groups, 7, &store, SetBackend::List);
+        let (mut meter, mut stats) = (ScanMeter::new(), ExecStats::default());
+        for k in 2..template.m() {
+            let pair = PatternTemplate::from_signature(&pair_sig(k));
+            ex.ensure_index(0, &pair, &mut meter, &mut stats).unwrap();
+        }
+        let mut pos_slice = vec![None; template.m()];
+        pos_slice[0] = sliced.map(|v| (0, v));
+        let fp = pos_slice_fp(&pos_slice);
+        let got = ex.ensure_index_sliced(0, &template, &pos_slice, fp, &mut meter, &mut stats).unwrap();
+        prop_assert!(stats.index_joins >= 1, "the ladder joined and verified");
+        prop_assert_eq!(lists_of(&got), lists_of(&current));
+        // Both equal brute force.
+        let mut brute: BTreeMap<Vec<u64>, Vec<u32>> = BTreeMap::new();
+        for seq in &seq_list {
+            let vals: Vec<u64> = seq.rows.iter().map(|&r| db.value_at_level(r, 2, 0).unwrap()).collect();
+            for pattern in brute_patterns(&vals, shape, kind).into_iter().filter(|p| slice_ok(p)) {
+                brute.entry(pattern).or_default().push(seq.sid);
+            }
+        }
+        prop_assert_eq!(lists_of(&got), brute);
+    }
 }

@@ -4,7 +4,7 @@
 //! with the worker count), and *free of observer effects* (disabling the
 //! layer changes no query result).
 
-use s_olap::eventdb::{metrics, Counter};
+use s_olap::eventdb::{metrics, Counter, Stage};
 use s_olap::prelude::*;
 
 /// Serializes tests that read or toggle the process-wide profiling flag.
@@ -231,4 +231,34 @@ fn disabled_observability_changes_no_result() {
             }
         }
     }
+}
+
+/// Stage spans cover the II fast paths: a P-ROLL-UP answered by list union
+/// (no sequence rescanned, no join) reports its time in the merge's
+/// index-build span and the count-by-length fold's aggregate span.
+#[test]
+fn p_roll_up_by_list_union_reports_stage_time() {
+    let _g = lock();
+    metrics::set_enabled(true);
+    let db = measured_db();
+    let e = Engine::with_config(
+        db.clone(),
+        EngineConfig {
+            strategy: Strategy::InvertedIndex,
+            use_cuboid_repo: false,
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let spec = spec_with(&db, AggFunc::Count).with_mpred(MatchPred::True);
+    e.execute(&spec).unwrap();
+    let (_, out) = e
+        .execute_op(&spec, &Op::PRollUp { dim: "X".into() })
+        .unwrap();
+    assert_eq!(out.profile.strategy, "II");
+    assert_eq!(out.stats.sequences_scanned, 0, "answered by list union");
+    assert_eq!(out.stats.index_joins, 0);
+    assert_eq!(out.stats.indices_built, 1, "one merged index");
+    assert!(out.profile.stage_nanos(Stage::IndexBuild) > 0);
+    assert!(out.profile.stage_nanos(Stage::Aggregate) > 0);
 }

@@ -145,11 +145,12 @@ impl<'a> IiExecutor<'a> {
     /// slice* (`pos_slice[p] = Some(v)` fixes the value at position `p`).
     ///
     /// Slice-restricted assembly is what makes iterative queries after a
-    /// slice cheap (Table 1's Qc touches 842 sequences, not 50,524): the
-    /// join ladder only materialises candidate lists compatible with the
-    /// slice, and the verification scan only visits their members. Sliced
-    /// indices are cached under the slice fingerprint; unsliced prefixes
-    /// are valid (superset) starting points.
+    /// slice cheap (Table 1's Qc touches 842 sequences, not 50,524): both
+    /// inputs of every join are sliced first, so the ladder only pairs
+    /// slice-compatible lists, and the verification scan only visits
+    /// their members. Sliced indices are cached under the slice
+    /// fingerprint; unsliced prefixes are valid (superset) starting
+    /// points and are sliced before the first rung.
     pub fn ensure_index_sliced(
         &self,
         group_idx: usize,
@@ -172,27 +173,46 @@ impl<'a> IiExecutor<'a> {
         let m = sig.m();
         if m <= 2 {
             let full = self.build_base(group_idx, template, meter, stats)?;
-            return Ok(self.slice_filtered(group_idx, template, &sig, full, pos_slice, slice_fp));
+            return Ok(self.slice_filtered(
+                group_idx,
+                &sig,
+                full,
+                pos_slice,
+                slice_fp,
+                Stage::IndexBuild,
+            ));
         }
-        // Find the largest available prefix to join from; build L_2 of the
-        // first two positions if nothing is cached.
+        // Find the largest available prefix to join from (sliced, so the
+        // ladder only meets slice-compatible lists); build L_2 of the first
+        // two positions if nothing is cached.
         let (mut current, mut k) =
             match self
                 .store
                 .largest_prefix(self.groups_fp, group_idx, &sig, slice_fp)
             {
-                Some((ix, k)) => (ix, k),
+                Some((ix, k, fp)) if fp == slice_fp => (ix, k),
+                Some((ix, k, _)) => (
+                    self.slice_filtered(
+                        group_idx,
+                        &sig.prefix(k),
+                        ix,
+                        pos_slice,
+                        slice_fp,
+                        Stage::IndexJoin,
+                    ),
+                    k,
+                ),
                 None => {
                     let prefix2 = PatternTemplate::from_signature(&sig.prefix(2));
                     let full = self.build_base(group_idx, &prefix2, meter, stats)?;
                     (
                         self.slice_filtered(
                             group_idx,
-                            template,
                             &sig.prefix(2),
                             full,
                             pos_slice,
                             slice_fp,
+                            Stage::IndexBuild,
                         ),
                         2,
                     )
@@ -254,19 +274,41 @@ impl<'a> IiExecutor<'a> {
                 let mut filtered = InvertedIndex::new(target_sig.clone(), raw.backend);
                 // solint: allow(governor-tick) filters the list set of the governed build just above; bounded by its output
                 for (key, set) in raw.lists {
-                    if self.positions_match_slice(template, pos_slice, &key) {
+                    if self.positions_match_slice(&sig.per_position, pos_slice, &key) {
                         filtered.lists.insert(key, set);
                     }
                 }
                 filtered
             } else {
-                let pair_template = PatternTemplate::from_signature(&pair_sig);
-                let pair_index = self.ensure_index(group_idx, &pair_template, meter, stats)?;
+                // The pair index restricted to the slice of positions
+                // (k-1, k): with the left side sliced too, every candidate
+                // the join forms respects the slice, and the slice is
+                // checked once per list instead of once per pair.
+                let pair_slice: PosSlice = vec![
+                    pos_slice.get(k - 1).copied().flatten(),
+                    pos_slice.get(k).copied().flatten(),
+                ];
+                let pair_fp = pos_slice_fp(&pair_slice);
+                let pair_key = self.key(group_idx, pair_sig.clone(), pair_fp);
+                let pair_index = match self.store.get(&pair_key) {
+                    Some(ix) => ix,
+                    None => {
+                        let pair_template = PatternTemplate::from_signature(&pair_sig);
+                        let full = self.ensure_index(group_idx, &pair_template, meter, stats)?;
+                        self.slice_filtered(
+                            group_idx,
+                            &pair_sig,
+                            full,
+                            &pair_slice,
+                            pair_fp,
+                            Stage::IndexJoin,
+                        )
+                    }
+                };
                 let candidate = {
                     let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
                     join(&current, &pair_index, target_sig.clone(), |c| {
                         target_template.is_instantiation(c)
-                            && self.positions_match_slice(template, pos_slice, c)
                     })
                 };
                 stats.index_joins += 1;
@@ -286,23 +328,23 @@ impl<'a> IiExecutor<'a> {
     }
 
     /// Whether a (possibly partial) pattern respects the position slice:
-    /// each fixed position's value, rolled up to the slice level, must
-    /// equal the slice value. Positions beyond the pattern length pass.
+    /// each fixed position's value, rolled up from its `(attr, level)`
+    /// binding in `per_position` to the slice level, must equal the slice
+    /// value. Positions beyond the pattern length pass.
     fn positions_match_slice(
         &self,
-        template: &PatternTemplate,
+        per_position: &[(solap_eventdb::AttrId, usize)],
         pos_slice: &PosSlice,
         pattern: &[solap_eventdb::LevelValue],
     ) -> bool {
-        for (p, &v) in pattern.iter().enumerate() {
-            let Some(&Some((slice_level, want))) = pos_slice.get(p).as_ref().map(|x| *x) else {
+        for ((&v, slice), &(attr, level)) in pattern.iter().zip(pos_slice).zip(per_position) {
+            let Some((slice_level, want)) = *slice else {
                 continue;
             };
-            let dim = template.dim_at(p);
-            let at_level = if slice_level == dim.level {
+            let at_level = if slice_level == level {
                 v
             } else {
-                match self.db.map_up(dim.attr, dim.level, v, slice_level) {
+                match self.db.map_up(attr, level, v, slice_level) {
                     Ok(x) => x,
                     Err(_) => return false,
                 }
@@ -314,24 +356,26 @@ impl<'a> IiExecutor<'a> {
         true
     }
 
-    /// Derives (and caches) the slice-restricted subset of a full index.
+    /// Derives (and caches) the slice-restricted subset of a full index,
+    /// timing the pass under `stage`.
     fn slice_filtered(
         &self,
         group_idx: usize,
-        template: &PatternTemplate,
         sig: &TemplateSignature,
         full: Arc<InvertedIndex>,
         pos_slice: &PosSlice,
         slice_fp: u64,
+        stage: Stage,
     ) -> Arc<InvertedIndex> {
         let relevant = pos_slice.iter().take(sig.m()).any(Option::is_some);
         if slice_fp == 0 || !relevant {
             return full;
         }
+        let _span = metrics::span(self.gov().recorder(), stage);
         let mut filtered = InvertedIndex::new(sig.clone(), full.backend);
         // solint: allow(governor-tick) infallible path (no Result to abort through); bounded by the cached index's list count
         for (k, v) in &full.lists {
-            if self.positions_match_slice(template, pos_slice, k) {
+            if self.positions_match_slice(&sig.per_position, pos_slice, k) {
                 filtered.lists.insert(k.clone(), v.clone());
             }
         }
@@ -719,7 +763,9 @@ impl<'a> IiExecutor<'a> {
             let mut sids: Vec<u32> = Vec::new();
             let mut seen = solap_index::Bitmap::new();
             for (pattern, set) in &coarse.lists {
-                if slice_fp != 0 && !self.positions_match_slice(prev, &pos_slice, pattern) {
+                if slice_fp != 0
+                    && !self.positions_match_slice(&prev_sig.per_position, &pos_slice, pattern)
+                {
                     continue;
                 }
                 for sid in set.iter() {
@@ -749,7 +795,7 @@ impl<'a> IiExecutor<'a> {
                 let mut f = InvertedIndex::new(new_sig.clone(), unfiltered.backend);
                 // solint: allow(governor-tick) filters the list set of the governed rescan just above; bounded by its output
                 for (k, v) in unfiltered.lists {
-                    if self.positions_match_slice(new, &pos_slice, &k) {
+                    if self.positions_match_slice(&new_sig.per_position, &pos_slice, &k) {
                         f.lists.insert(k, v);
                     }
                 }

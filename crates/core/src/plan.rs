@@ -296,7 +296,7 @@ impl CostModel {
 
     /// Predicted cost of the inverted-index path: a base-build scan over
     /// `events` (free when `base_cached`), then a join ladder over
-    /// `sequences` at [`ladder`]`(m, kind)` rungs each.
+    /// `sequences` at `ladder(m, kind)` rungs each.
     pub fn estimate_ii(
         &self,
         events: u64,
@@ -328,7 +328,7 @@ impl CostModel {
     }
 
     /// Calibrates the CB unit from an executed counter scan. Queries below
-    /// [`MIN_CALIBRATION_UNITS`] events are ignored — their elapsed time is
+    /// `MIN_CALIBRATION_UNITS` events are ignored — their elapsed time is
     /// fixed overhead, not per-event work.
     pub fn observe_cb(&self, elapsed_ns: u64, events: u64) {
         if events >= MIN_CALIBRATION_UNITS {
@@ -686,7 +686,7 @@ impl<'a> Planner<'a> {
     /// Gathers reuse candidates for `target` from `candidates` (most
     /// recently executed first): the [`reuse_safe`] ones whose cuboid
     /// `lookup` can actually produce, deduplicated by fingerprint and
-    /// capped at [`MAX_REUSE_CANDIDATES`].
+    /// capped at `MAX_REUSE_CANDIDATES`.
     pub fn reuse_candidates(
         target: &SCuboidSpec,
         candidates: impl Iterator<Item = SCuboidSpec>,

@@ -19,15 +19,22 @@ use solap_eventdb::{LevelValue, Result};
 use solap_pattern::TemplateSignature;
 
 use crate::inverted::InvertedIndex;
+use crate::sidset::SidSet;
 
 /// Joins `left` (length `i`) with `right` (length `j`), overlapping the last
 /// element of each left pattern with the first element of each right
 /// pattern. The candidate pattern is `left ++ right[1..]` (length
 /// `i + j - 1`); its candidate list is the intersection of the two lists.
 ///
-/// `accept` filters candidate patterns (e.g. "must instantiate the target
-/// template" — for `(X, Y, Y, X)` the fourth element must equal the first).
-/// Empty intersections are dropped.
+/// Pairs the target's symbol-equality classes already rule out are never
+/// tried: every right position `r ≥ 1` whose class repeats a left position
+/// `q` is *pinned*, so right lists are bucketed by `(rk[0], rk[r]…)` and
+/// each left list probes its one bucket with `(lk.last(), lk[q]…)`. For
+/// `(X, Y, Y, X)` the fourth element must equal the first, so a left list
+/// meets only the right lists that close its own `X`.
+///
+/// `accept` is the final filter on each candidate pattern (e.g. "must
+/// instantiate the target template"). Empty intersections are dropped.
 pub fn join(
     left: &InvertedIndex,
     right: &InvertedIndex,
@@ -39,16 +46,28 @@ pub fn join(
         left.m() + right.m() - 1,
         "target length must be left + right - overlap"
     );
-    // Bucket right lists by the first element of their pattern.
-    let mut by_first: HashMap<LevelValue, Vec<(&Vec<LevelValue>, &crate::sidset::SidSet)>> =
-        HashMap::new();
+    // (right position, left position) pairs whose values must be equal.
+    let left_classes = &target_sig.eq_classes[..left.m()];
+    let pins: Vec<(usize, usize)> = target_sig.eq_classes[left.m()..]
+        .iter()
+        .enumerate()
+        .filter_map(|(r, class)| Some((r + 1, left_classes.iter().position(|c| c == class)?)))
+        .collect();
+    let mut buckets: HashMap<Vec<LevelValue>, Vec<(&Vec<LevelValue>, &SidSet)>> = HashMap::new();
     for (k, v) in &right.lists {
-        by_first.entry(k[0]).or_default().push((k, v));
+        let key = std::iter::once(k[0])
+            .chain(pins.iter().map(|&(r, _)| k[r]))
+            .collect();
+        buckets.entry(key).or_default().push((k, v));
     }
     let mut out = InvertedIndex::new(target_sig, left.backend);
+    let mut probe: Vec<LevelValue> = Vec::with_capacity(1 + pins.len());
     let mut candidate: Vec<LevelValue> = Vec::new();
     for (lk, lv) in &left.lists {
-        let Some(rights) = by_first.get(lk.last().expect("non-empty pattern")) else {
+        probe.clear();
+        probe.push(*lk.last().expect("non-empty pattern"));
+        probe.extend(pins.iter().map(|&(_, q)| lk[q]));
+        let Some(rights) = buckets.get(probe.as_slice()) else {
             continue;
         };
         for (rk, rv) in rights {

@@ -69,14 +69,15 @@ impl IndexStore {
     /// available inverted index"). For sliced assemblies (`slice_fp ≠ 0`) a
     /// slice-restricted prefix of the same length is preferred over the
     /// unsliced one, which is always a valid (superset) starting point.
-    /// Returns the index and its length.
+    /// Returns the index, its length and the slice fingerprint it is
+    /// cached under (`slice_fp` or 0).
     pub fn largest_prefix(
         &self,
         groups_fp: u64,
         group_idx: usize,
         sig: &TemplateSignature,
         slice_fp: u64,
-    ) -> Option<(Arc<InvertedIndex>, usize)> {
+    ) -> Option<(Arc<InvertedIndex>, usize, u64)> {
         let mut guard = self.inner.lock();
         for k in (2..=sig.m()).rev() {
             let mut fps = vec![0u64];
@@ -91,7 +92,7 @@ impl IndexStore {
                     slice_fp: fp,
                 };
                 if let Some(ix) = guard.get(&key) {
-                    return Some((Arc::clone(ix), k));
+                    return Some((Arc::clone(ix), k, fp));
                 }
             }
         }
@@ -184,7 +185,7 @@ mod tests {
         store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
         store.insert(key(&["X", "Y", "Y"]), empty_index(&["X", "Y", "Y"]));
         let target = sig(&["X", "Y", "Y", "X"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, 0).unwrap();
+        let (_, k, _) = store.largest_prefix(42, 0, &target, 0).unwrap();
         assert_eq!(k, 3, "the length-3 prefix (X,Y,Y) must win over (X,Y)");
         // A different group sees nothing.
         assert!(store.largest_prefix(42, 1, &target, 0).is_none());
@@ -198,7 +199,7 @@ mod tests {
         // identical, so it must be found.
         store.insert(key(&["A", "B"]), empty_index(&["A", "B"]));
         let target = sig(&["P", "Q", "Q", "P"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, 0).unwrap();
+        let (_, k, _) = store.largest_prefix(42, 0, &target, 0).unwrap();
         assert_eq!(k, 2);
     }
 

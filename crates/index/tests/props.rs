@@ -191,3 +191,82 @@ proptest! {
         }
     }
 }
+
+/// A random inverted index of `m`-patterns over a 3-value alphabet, lists
+/// encoded for `backend`. Patterns need not instantiate `sig`.
+fn random_index(
+    sig: solap_pattern::TemplateSignature,
+    lists: &[(Vec<u8>, Vec<u32>)],
+    backend: SetBackend,
+) -> solap_index::InvertedIndex {
+    let mut ix = solap_index::InvertedIndex::new(sig, backend);
+    for (pattern, sids) in lists {
+        let key: Vec<u64> = pattern.iter().map(|&v| u64::from(v % 3)).collect();
+        let sids = sorted(&mut sids.clone());
+        let set = match backend {
+            SetBackend::Auto => SidSet::from_sorted_auto(sids),
+            _ => SidSet::from_sorted(sids),
+        };
+        ix.lists.insert(key, set);
+    }
+    ix
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The bucketed join (overlap element plus pinned repeated symbols)
+    /// equals a nested-loop join that pairs every left list with every
+    /// right list sharing the overlap element, then applies `accept` and
+    /// intersects — for every split of `XYX`, `XYY`, `XYYX` and `XYXY`.
+    #[test]
+    fn join_equals_nested_loop_join(
+        shape in 0usize..4,
+        split in 0usize..2,
+        left_lists in prop::collection::vec(
+            (prop::collection::vec(0u8..3, 4), prop::collection::vec(0u32..24, 1..8)), 0..24),
+        right_lists in prop::collection::vec(
+            (prop::collection::vec(0u8..3, 4), prop::collection::vec(0u32..24, 1..8)), 0..24),
+        auto in any::<bool>(),
+    ) {
+        let shape: &[usize] = [&[0, 1, 0][..], &[0, 1, 1], &[0, 1, 1, 0], &[0, 1, 0, 1]][shape];
+        let target = template(shape);
+        let sig = target.signature();
+        let m = shape.len();
+        // Left length in 2..m; the right side covers the rest plus the
+        // overlap position.
+        let left_m = 2 + split % (m - 2);
+        let right_sig = template(&shape[left_m - 1..]).signature();
+        let backend = if auto { SetBackend::Auto } else { SetBackend::List };
+        let trim = |lists: &[(Vec<u8>, Vec<u32>)], len: usize| -> Vec<(Vec<u8>, Vec<u32>)> {
+            lists.iter().map(|(p, s)| (p[..len].to_vec(), s.clone())).collect()
+        };
+        let left = random_index(sig.prefix(left_m), &trim(&left_lists, left_m), backend);
+        let right = random_index(right_sig, &trim(&right_lists, m - left_m + 1), backend);
+        let accept = |c: &[u64]| target.is_instantiation(c);
+
+        let got: std::collections::BTreeMap<Vec<u64>, Vec<u32>> =
+            join(&left, &right, sig.clone(), accept)
+                .lists
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_vec()))
+                .collect();
+        let mut reference = std::collections::BTreeMap::new();
+        for (lk, lv) in &left.lists {
+            for (rk, rv) in &right.lists {
+                if lk.last() != rk.first() {
+                    continue;
+                }
+                let candidate: Vec<u64> = lk.iter().chain(&rk[1..]).copied().collect();
+                if !accept(&candidate) {
+                    continue;
+                }
+                let inter = lv.intersect(rv).to_vec();
+                if !inter.is_empty() {
+                    reference.insert(candidate, inter);
+                }
+            }
+        }
+        prop_assert_eq!(got, reference);
+    }
+}

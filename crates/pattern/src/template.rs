@@ -148,18 +148,18 @@ impl PatternTemplate {
     }
 
     /// Whether a concrete length-`m` value string instantiates the template
-    /// (repeated symbols must carry equal values).
+    /// (repeated symbols must carry equal values). Each position is
+    /// compared with the first position of its symbol, so the check does
+    /// not allocate.
     pub fn is_instantiation(&self, values: &[LevelValue]) -> bool {
         debug_assert_eq!(values.len(), self.m());
-        let mut first_seen: Vec<Option<LevelValue>> = vec![None; self.n()];
-        for (p, &v) in values.iter().enumerate() {
-            match first_seen[self.symbols[p]] {
-                Some(prev) if prev != v => return false,
-                Some(_) => {}
-                None => first_seen[self.symbols[p]] = Some(v),
-            }
-        }
-        true
+        self.symbols.iter().zip(values).all(|(&d, v)| {
+            self.symbols
+                .iter()
+                .position(|&s| s == d)
+                .and_then(|first| values.get(first))
+                == Some(v)
+        })
     }
 
     /// Projects a length-`m` instantiation onto the `n` pattern dimensions

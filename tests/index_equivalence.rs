@@ -505,14 +505,16 @@ proptest! {
 
     /// The one-pass verification scan of the join ladder (one load and
     /// window walk per candidate sequence) keeps exactly what per-posting
-    /// `contains_pattern` verification keeps, on unsliced and sliced
-    /// candidates, and both equal the brute-force index.
+    /// `contains_pattern` verification keeps, on unsliced candidates and
+    /// on candidates sliced at any position — at the symbol level or at
+    /// the coarser parity level (the roll-up path) — and both equal the
+    /// brute-force index.
     #[test]
     fn one_pass_verify_equals_per_posting_verify(
         seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..10), 1..16),
-        shape in 0usize..3,
+        shape in 0usize..4,
         substring in any::<bool>(),
-        slice in prop::option::of(0u8..4),
+        slice in prop::option::of((0usize..4, 0u8..4, any::<bool>())),
     ) {
         use s_olap::core::ii::{pos_slice_fp, IiExecutor};
         use s_olap::core::stats::{ExecStats, ScanMeter};
@@ -520,7 +522,7 @@ proptest! {
         use s_olap::index::{join::join, IndexStore};
         use s_olap::pattern::{Matcher, TemplateSignature};
 
-        let shape: &[usize] = [&[0, 1, 2][..], &[0, 1, 0], &[0, 1, 1, 0]][shape];
+        let shape: &[usize] = [&[0, 1, 2][..], &[0, 1, 0], &[0, 1, 1, 0], &[0, 1, 0, 1]][shape];
 
         let mut db = EventDbBuilder::new()
             .dimension("sid", ColumnType::Int)
@@ -534,6 +536,12 @@ proptest! {
                     .unwrap();
             }
         }
+        db.set_base_level_name(2, "symbol");
+        db.attach_str_level(2, "parity", |name| {
+            let v: u32 = name[1..].parse().unwrap();
+            format!("p{}", v % 2)
+        })
+        .unwrap();
         let groups = build_sequence_groups(&db, &SeqQuerySpec {
             filter: Pred::True,
             cluster_by: vec![AttrLevel::new(0, 0)],
@@ -545,8 +553,18 @@ proptest! {
         let template = PatternTemplate::new(kind, &names, &[("X", 2, 0), ("Y", 2, 0), ("Z", 2, 0)]
             .into_iter().filter(|(n, _, _)| names.contains(n)).collect::<Vec<_>>()).unwrap();
         let sig = template.signature();
-        let sliced = slice.and_then(|s| db.dict(2).unwrap().lookup(&format!("s{s}"))).map(|v| v as u64);
-        let slice_ok = |c: &[u64]| sliced.is_none_or(|v| c[0] == v);
+        // `(position, level, value)`: the slice fixes one position of the
+        // template, compared at the symbol level (0) or its parity (1).
+        let sliced = slice.and_then(|(p, s, coarse)| {
+            let v = db.dict(2).unwrap().lookup(&format!("s{s}"))? as u64;
+            let level = usize::from(coarse);
+            Some((p % shape.len(), level, db.map_up(2, 0, v, level).unwrap()))
+        });
+        let slice_ok = |c: &[u64]| {
+            sliced.is_none_or(|(p, level, want)| {
+                c.get(p).is_none_or(|&v| db.map_up(2, 0, v, level).unwrap() == want)
+            })
+        };
         let pair_sig = |k: usize| TemplateSignature {
             kind,
             per_position: vec![sig.per_position[k - 1], sig.per_position[k]],
@@ -584,7 +602,9 @@ proptest! {
             ex.ensure_index(0, &pair, &mut meter, &mut stats).unwrap();
         }
         let mut pos_slice = vec![None; template.m()];
-        pos_slice[0] = sliced.map(|v| (0, v));
+        if let Some((p, level, want)) = sliced {
+            pos_slice[p] = Some((level, want));
+        }
         let fp = pos_slice_fp(&pos_slice);
         let got = ex.ensure_index_sliced(0, &template, &pos_slice, fp, &mut meter, &mut stats).unwrap();
         prop_assert!(stats.index_joins >= 1, "the ladder joined and verified");

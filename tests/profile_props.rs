@@ -262,3 +262,49 @@ fn p_roll_up_by_list_union_reports_stage_time() {
     assert!(out.profile.stage_nanos(Stage::IndexBuild) > 0);
     assert!(out.profile.stage_nanos(Stage::Aggregate) > 0);
 }
+
+/// Stage spans cover the sliced join ladder: a sliced APPEND whose slice
+/// sits on the appended position (`X = Pentagon`, then append `X`) slices
+/// the cached pair and prefix indices before joining, and reports that
+/// work with the join in the `index_join` stage. The cuboid equals CB's.
+#[test]
+fn sliced_append_reports_index_join_stage_time() {
+    let _g = lock();
+    metrics::set_enabled(true);
+    let db = measured_db();
+    let ii = Engine::with_config(
+        db.clone(),
+        EngineConfig {
+            strategy: Strategy::InvertedIndex,
+            use_cuboid_repo: false,
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let pentagon = db.dict(2).unwrap().lookup("Pentagon").unwrap() as u64;
+    let spec = spec_with(&db, AggFunc::Count).with_mpred(MatchPred::True);
+    ii.execute(&spec).unwrap();
+    let (sliced, _) = ii
+        .execute_op(
+            &spec,
+            &Op::SlicePattern {
+                dim: "X".into(),
+                value: pentagon,
+            },
+        )
+        .unwrap();
+    let append = Op::Append {
+        symbol: "X".into(),
+        attr: 2,
+        level: 0,
+    };
+    let (appended, out) = ii.execute_op(&sliced, &append).unwrap();
+    assert_eq!(out.profile.strategy, "II");
+    assert!(out.stats.index_joins >= 1, "the ladder joined");
+    assert!(out.profile.stage_nanos(Stage::IndexJoin) > 0);
+    let cb = engine(db, Strategy::CounterBased, 1);
+    assert_eq!(
+        out.cuboid.cells,
+        cb.execute(&appended).unwrap().cuboid.cells
+    );
+}
